@@ -7,19 +7,21 @@
     into 128-byte segments filtered through an L2 model.  It records the
     per-block {!Trace.segment}s consumed by the timing model.
 
-    Two back ends implement the semantics:
+    Three back ends implement the semantics:
 
     - the {e reference walker} below re-traverses the AST per warp with
       boxed {!V.t} vectors — slow, obviously correct, and the oracle for
       differential testing;
-    - the {e compiled fast path} ({!Compile}) lowers each kernel once
-      into closures over an unboxed register plane and is dispatched to
-      whenever the kernel compiles and the launch arguments match the
-      inferred types.
+    - two fast tiers lower each kernel once and are dispatched to
+      whenever the kernel lowers and the launch arguments match the
+      inferred types: {!Bytecode} (dense int-coded programs with
+      superinstruction fusion, the default) and {!Compile} (closures
+      over an unboxed register plane).
 
-    Both paths emit byte-identical traces (same charges in the same
-    order).  The default is the compiled path; set [DPC_INTERP=ref] (or
-    call {!set_default_mode}) to force the walker.
+    All paths emit byte-identical traces (same charges in the same
+    order).  The default is the bytecode tier; set [DPC_INTERP] to
+    [compiled] or [ref] (or call {!set_default_mode}) to pick the closure
+    tier or force the walker.
 
     Device-side launches are recorded and executed when the launching
     block reaches [cudaDeviceSynchronize] or finishes.  This is sound for
@@ -57,17 +59,6 @@ type pending_launch = Runtime.pending_launch = {
 
 type mode = Compiled | Bytecode | Reference
 
-let default_mode_ref =
-  ref
-    (match Sys.getenv_opt "DPC_INTERP" with
-    | Some ("ref" | "reference" | "walker") -> Reference
-    | Some ("bytecode" | "bc") -> Bytecode
-    | _ -> Compiled)
-
-let set_default_mode m = default_mode_ref := m
-
-let default_mode () = !default_mode_ref
-
 let mode_to_string = function
   | Compiled -> "compiled"
   | Bytecode -> "bytecode"
@@ -79,6 +70,15 @@ let mode_of_string s =
   | "bytecode" | "bc" -> Some Bytecode
   | "ref" | "reference" | "walker" -> Some Reference
   | _ -> None
+
+let default_mode_ref =
+  ref
+    (Option.value ~default:Bytecode
+       (Option.bind (Sys.getenv_opt "DPC_INTERP") mode_of_string))
+
+let set_default_mode m = default_mode_ref := m
+
+let default_mode () = !default_mode_ref
 
 type session = {
   cfg : Cfg.t;

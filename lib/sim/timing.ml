@@ -43,12 +43,19 @@ type block_run = {
   mutable rate : float;
   mutable last_update : float;
   mutable smx : int;  (** -1 when not resident *)
-  mutable epoch : int;  (** invalidates stale completion events *)
+  mutable ev : event Heap.handle option;
+      (** the block's one queued [Seg_done], if any: a rate change
+          re-prioritises it, a removal from the SMX deletes it *)
   mutable children_out : int;
   mutable waiting_sync : bool;
   mutable waiting_barrier : bool;
   mutable finished : bool;
 }
+
+and event =
+  | Grid_ready of int
+  | Dispatch_tick
+  | Seg_done of block_run
 
 type grid_state = {
   trace : Trace.grid_exec;
@@ -67,11 +74,6 @@ type grid_state = {
           Section II.A) *)
 }
 
-type event =
-  | Grid_ready of int
-  | Dispatch_tick
-  | Seg_done of block_run * int  (** block, epoch *)
-
 type smx_state = {
   mutable resident : block_run list;
   mutable warps_used : int;
@@ -83,6 +85,8 @@ type t = {
   scheduler : scheduler;
   record_timeline : bool;
   sink : Ev.sink option;  (** per-run profiling sink; no global state *)
+  trace : bool;  (** [DPC_TIMING_TRACE]: log dispatch and completion *)
+  debug : bool;  (** [DPC_TIMING_DEBUG]: print the event counts *)
   grids : grid_state array;
   smxs : smx_state array;
   events : event Heap.t;
@@ -110,7 +114,15 @@ type t = {
   mutable swapped_syncs : int;
   mutable completed_grids : int;
   mutable samples : (float * int) list;  (** (time, resident warps), reversed *)
+  (* event counts *)
+  mutable n_events : int;
+  mutable n_ready : int;
+  mutable n_tick : int;
+  mutable n_seg : int;
+  mutable n_stale : int;
 }
+
+type stats = { seg_done : int; stale : int }
 
 let seg_work cfg (s : Trace.segment) =
   Float.of_int
@@ -134,7 +146,7 @@ let make_block_run cfg (g : Trace.grid_exec) (bt : Trace.block_trace) =
     rate = 0.0;
     last_update = 0.0;
     smx = -1;
-    epoch = 0;
+    ev = None;
     children_out = 0;
     waiting_sync = false;
     waiting_barrier = false;
@@ -163,6 +175,8 @@ let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
     scheduler;
     record_timeline;
     sink;
+    trace = Sys.getenv_opt "DPC_TIMING_TRACE" <> None;
+    debug = Sys.getenv_opt "DPC_TIMING_DEBUG" <> None;
     grids = Array.map mk_grid grids;
     smxs =
       Array.init cfg.Cfg.num_smx (fun _ ->
@@ -188,6 +202,11 @@ let create ?(scheduler = Processor_sharing) ?(record_timeline = false) ?sink
     swapped_syncs = 0;
     completed_grids = 0;
     samples = [];
+    n_events = 0;
+    n_ready = 0;
+    n_tick = 0;
+    n_seg = 0;
+    n_stale = 0;
   }
 
 (* --- event publication --------------------------------------------------- *)
@@ -245,10 +264,14 @@ let update_smx t (s : smx_state) =
       b.last_update <- t.now)
     s.resident
 
+(* (Re-)arm the block's completion event at its current rate.  An event
+   already queued is moved rather than duplicated, so the queue holds at
+   most one [Seg_done] per block and never a stale one. *)
 let reschedule t (b : block_run) =
-  b.epoch <- b.epoch + 1;
   let dt = if b.rate > 0.0 then b.remaining /. b.rate else 0.0 in
-  Heap.push t.events (t.now +. dt) (Seg_done (b, b.epoch))
+  match b.ev with
+  | Some h -> Heap.update t.events h (t.now +. dt)
+  | None -> b.ev <- Some (Heap.push t.events (t.now +. dt) (Seg_done b))
 
 let recompute_rates t (s : smx_state) =
   let issue = Float.of_int t.cfg.Cfg.issue_rate in
@@ -306,7 +329,8 @@ let remove_from_smx t (b : block_run) =
       t.grids.(b.grid_id)
       (Ev.Block_removed { block = b.bidx; warps = b.warps });
     b.smx <- -1;
-    b.epoch <- b.epoch + 1;
+    Option.iter (Heap.remove t.events) b.ev;
+    b.ev <- None;
     recompute_rates t s
   end
 
@@ -350,13 +374,14 @@ let rec try_dispatch t =
       (* Rate-limited: arm (at most one) wake-up at the next dispatch slot. *)
       if not t.tick_armed then begin
         t.tick_armed <- true;
-        Heap.push t.events t.next_dispatch_time Dispatch_tick
+        ignore (Heap.push t.events t.next_dispatch_time Dispatch_tick
+                : event Heap.handle)
       end
     end
     else begin
       let gid = Queue.pop t.ready_queue in
       let g = t.grids.(gid) in
-      if Sys.getenv_opt "DPC_TIMING_TRACE" <> None then
+      if t.trace then
         Printf.eprintf "[%10.0f] dispatch g%d (%s %dx%d)\n" t.now gid
           g.trace.Trace.kernel (Array.length g.blocks)
           g.trace.Trace.block_dim;
@@ -399,7 +424,11 @@ and launch_grid t gid ~latency =
      emit t g (Ev.Pool_high_water { level = t.pending_count });
    if virtualized then
      emit t g (Ev.Pool_virtualized { pending = t.pending_count }));
-  Heap.push t.events (t.now +. Float.of_int latency +. penalty) (Grid_ready gid)
+  ignore
+    (Heap.push t.events
+       (t.now +. Float.of_int latency +. penalty)
+       (Grid_ready gid)
+      : event Heap.handle)
 
 (* --- completion plumbing -------------------------------------------------- *)
 
@@ -456,7 +485,7 @@ and check_grid_complete t (g : grid_state) =
     && g.children_out = 0
   then begin
     g.completed <- true;
-    if Sys.getenv_opt "DPC_TIMING_TRACE" <> None then
+    if t.trace then
       Printf.eprintf "[%10.0f] complete g%d (%s)\n" t.now g.trace.Trace.gid
         g.trace.Trace.kernel;
     t.completed_grids <- t.completed_grids + 1;
@@ -579,52 +608,47 @@ let run t =
     t.roots_left <- rest;
     t.current_root <- first;
     launch_grid t first ~latency:t.cfg.Cfg.host_launch_latency);
-  let n_events = ref 0 in
-  let n_ready = ref 0 and n_tick = ref 0 and n_seg = ref 0 and n_stale = ref 0 in
   let progress = ref true in
   while !progress do
-    incr n_events;
+    t.n_events <- t.n_events + 1;
     match Heap.pop_min t.events with
     | None -> progress := false
+    | Some (_, Seg_done b) when b.finished ->
+      (* Unreachable while every block holds at most one queued event and
+         leaving the SMX deletes it; counted, never acted on. *)
+      t.n_seg <- t.n_seg + 1;
+      t.n_stale <- t.n_stale + 1;
+      b.ev <- None
     | Some (time, ev) -> (
-      (* Stale completion events (superseded by a reschedule) must not
-         advance the clock. *)
-      let advance () =
-        t.now <- Float.max t.now time;
-        occ_note t
-      in
+      t.now <- Float.max t.now time;
+      occ_note t;
       match ev with
       | Grid_ready gid ->
-        advance ();
-        if Sys.getenv_opt "DPC_TIMING_TRACE" <> None then
-          Printf.eprintf "[%10.0f] ready g%d\n" t.now gid;
-        incr n_ready;
+        if t.trace then Printf.eprintf "[%10.0f] ready g%d\n" t.now gid;
+        t.n_ready <- t.n_ready + 1;
         Queue.push gid t.ready_queue;
         try_dispatch t
       | Dispatch_tick ->
-        advance ();
-        incr n_tick;
+        t.n_tick <- t.n_tick + 1;
         t.tick_armed <- false;
         try_dispatch t
-      | Seg_done (b, epoch) ->
-        incr n_seg;
-        if epoch <> b.epoch then incr n_stale;
-        if epoch = b.epoch && not b.finished then begin
-          advance ();
-          (* Settle the block's accounting at the current time. *)
-          if b.smx >= 0 then update_smx t t.smxs.(b.smx);
-          if b.remaining <= 1e-6 then begin
-            b.remaining <- 0.0;
-            handle_segment_end t b
-          end
-          else
-            (* Rates changed since this event was scheduled; re-arm. *)
-            reschedule t b
-        end)
+      | Seg_done b ->
+        t.n_seg <- t.n_seg + 1;
+        b.ev <- None;
+        (* Settle the block's accounting at the current time. *)
+        if b.smx >= 0 then update_smx t t.smxs.(b.smx);
+        if b.remaining <= 1e-6 then begin
+          b.remaining <- 0.0;
+          handle_segment_end t b
+        end
+        else
+          (* Rates changed since this event was scheduled; re-arm. *)
+          reschedule t b)
   done;
-  (if Sys.getenv_opt "DPC_TIMING_DEBUG" <> None then
-     Printf.eprintf "[timing] events %d: ready %d tick %d seg %d (stale %d) grids %d\n%!"
-       !n_events !n_ready !n_tick !n_seg !n_stale (Array.length t.grids));
+  if t.debug then
+    Printf.eprintf
+      "[timing] events %d: ready %d tick %d seg %d (stale %d) grids %d\n%!"
+      t.n_events t.n_ready t.n_tick t.n_seg t.n_stale (Array.length t.grids);
   let incomplete =
     Array.fold_left
       (fun acc g -> if g.completed then acc else acc + 1)
@@ -654,6 +678,22 @@ let run t =
 let simulate ?scheduler ?sink cfg grids roots =
   let t = create ?scheduler ?sink cfg grids roots in
   run t
+
+let stats t =
+  { seg_done = t.n_seg; stale = t.n_stale }
+
+(* The most [Seg_done] events any one block has in the queue right now. *)
+let max_queued_per_block t =
+  let counts = Hashtbl.create 64 in
+  Heap.iter
+    (function
+      | Seg_done b ->
+        let k = (b.grid_id, b.bidx) in
+        Hashtbl.replace counts k
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
+      | Grid_ready _ | Dispatch_tick -> ())
+    t.events;
+  Hashtbl.fold (fun _ n acc -> Int.max n acc) counts 0
 
 (** Resident-warp samples ((start_time, warps) steps, in time order);
     empty unless created with [record_timeline:true]. *)

@@ -47,6 +47,17 @@ val create :
     violation). *)
 val run : t -> result
 
+(** Completion events popped by a replay so far.  [stale] counts those
+    that no longer applied to their block; the queue keeps one event per
+    block and deletes it when the block leaves its SMX, so it stays 0. *)
+type stats = { seg_done : int; stale : int }
+
+val stats : t -> stats
+
+(** The largest number of [Seg_done] events any one block has queued at
+    this moment (a scan of the queue, for tests). *)
+val max_queued_per_block : t -> int
+
 (** Resident-warp step samples (start_time, warps) in time order; empty
     unless the model was created with [record_timeline:true]. *)
 val timeline : t -> (float * int) list

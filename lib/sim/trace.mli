@@ -59,7 +59,9 @@ type grid_exec = {
 
 type seg_builder = {
   mutable issue : int;
-  mutable weighted : float;
+  mutable lane_cycles : int;
+      (** sum over issue charges of cycles x active lanes; {!cut} stores
+          it divided by 32 as [weighted_active] *)
   mutable dram : int;
   mutable l2 : int;
   mutable bank_rp : int;

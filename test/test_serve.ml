@@ -77,6 +77,12 @@ let framing_byte_at_a_time () =
 let sc_a = Scenario.make ~app:"SSSP" ~scale:300 (H.Cons Pragma.Grid)
 let sc_b = Scenario.make ~app:"SpMV" ~scale:200 (H.Cons Pragma.Block)
 
+(* [sc_a] pinned to the closure tier, for tests that load its stored prep
+   under the tier tag by name. *)
+let sc_a_compiled =
+  Scenario.make ~app:"SSSP" ~scale:300 ~interp:Dpc_sim.Interp.Compiled
+    (H.Cons Pragma.Grid)
+
 let protocol_request_roundtrip () =
   let reqs =
     [
@@ -297,6 +303,7 @@ let pstore_concurrent_writers () =
 
 (* Keys that could escape the store directory are refused outright. *)
 let pstore_key_hygiene () =
+  let sc_a = sc_a_compiled in
   with_temp_dir "dpc-pstore" @@ fun dir ->
   let _ = run_one ~persist:dir sc_a in
   let key =
@@ -341,6 +348,7 @@ let pstore_key_hygiene () =
    that leg of the matrix lives in the direct bytecode-verifier units in
    test_check.ml.) *)
 let pstore_verify_degrade_matrix () =
+  let sc_a = sc_a_compiled in
   with_temp_dir "dpc-pstore" @@ fun dir ->
   let _, ra = run_one ~persist:dir sc_a in
   let key =

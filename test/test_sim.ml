@@ -339,8 +339,39 @@ let test_divergent_syncthreads_rejected () =
        false
      with Interp.Sim_error _ -> true)
 
+(* --- tier default and charge accounting ------------------------------------ *)
+
+let test_default_tier () =
+  let expect =
+    match Sys.getenv_opt "DPC_INTERP" with
+    | None -> Interp.Bytecode
+    | Some s -> Option.get (Interp.mode_of_string s)
+  in
+  Alcotest.(check string) "session-default tier"
+    (Interp.mode_to_string expect)
+    (Interp.mode_to_string (Interp.default_mode ()))
+
+(* [weighted_active] is accumulated as integer lane-cycles and divided by
+   32 once per segment; it must equal the per-charge float sum exactly. *)
+let prop_weighted_active_exact =
+  QCheck.Test.make ~count:200 ~name:"weighted_active equals the float sum"
+    QCheck.(list (pair (int_range 1 5000) (int_range 0 32)))
+    (fun charges ->
+      let seg = Dpc_sim.Trace.seg_builder () in
+      let float_sum =
+        List.fold_left
+          (fun acc (cycles, active) ->
+            Dpc_sim.Runtime.charge seg cycles active;
+            acc +. (Float.of_int (cycles * active) /. 32.0))
+          0.0 charges
+      in
+      let bt = Dpc_sim.Trace.finish seg ~block_idx:0 ~warps:1 in
+      bt.Dpc_sim.Trace.segments.(0).Dpc_sim.Trace.weighted_active = float_sum)
+
 let suite =
   [
+    Alcotest.test_case "default tier" `Quick test_default_tier;
+    QCheck_alcotest.to_alcotest prop_weighted_active_exact;
     Alcotest.test_case "vec add result" `Quick test_vec_add;
     Alcotest.test_case "vec add report" `Quick test_vec_add_report;
     Alcotest.test_case "divergence efficiency" `Quick test_divergence_efficiency;

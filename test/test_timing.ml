@@ -8,6 +8,7 @@ module Device = Dpc_sim.Device
 module M = Dpc_sim.Metrics
 module V = Dpc_kir.Value
 module Kernel = Dpc_kir.Kernel
+module Timing = Dpc_sim.Timing
 
 let mk_program kernels =
   let p = Kernel.Program.create () in
@@ -253,9 +254,54 @@ let test_mshr_stalls_charged () =
   Alcotest.(check bool) "stalls cost cycles" true
     (on_.M.cycles > off.M.cycles)
 
+(* The replay keeps one completion event per block and re-prioritises it
+   when rates change, so nothing stale is ever popped.  On TH no-dp (the
+   replay that used to pop 224,280 stale events for 8,204 segments) every
+   segment now costs exactly one event, and the cycle count is the one
+   the report computed. *)
+let test_no_stale_events () =
+  let th = Dpc_apps.Registry.find "TH" in
+  let captured = ref None in
+  let report =
+    th.Dpc_apps.Registry.run
+      ~inspect:(fun dev -> captured := Some dev)
+      Dpc_apps.Harness.Flat
+  in
+  let dev = Option.get !captured in
+  let s = Device.session dev in
+  let grids = Dpc_sim.Interp.grids s in
+  let model = ref None and worst = ref 0 in
+  let sink _ =
+    Option.iter
+      (fun t -> worst := Int.max !worst (Timing.max_queued_per_block t))
+      !model
+  in
+  let t =
+    Timing.create ~sink (Device.config dev) grids (Dpc_sim.Interp.roots s)
+  in
+  model := Some t;
+  let r = Timing.run t in
+  let segments =
+    Array.fold_left
+      (fun acc (g : Dpc_sim.Trace.grid_exec) ->
+        Array.fold_left
+          (fun acc (b : Dpc_sim.Trace.block_trace) ->
+            acc + Array.length b.Dpc_sim.Trace.segments)
+          acc g.Dpc_sim.Trace.blocks)
+      0 grids
+  in
+  let st = Timing.stats t in
+  Alcotest.(check (float 0.0)) "same cycles as the report" report.M.cycles
+    r.Timing.total_cycles;
+  Alcotest.(check int) "at most one queued Seg_done per block" 1 !worst;
+  Alcotest.(check int) "no stale events" 0 st.Timing.stale;
+  Alcotest.(check int) "one completion event per segment" segments
+    st.Timing.seg_done
+
 let suite =
   [
     Alcotest.test_case "blocks serialize" `Quick test_more_blocks_take_longer;
+    Alcotest.test_case "no stale events" `Quick test_no_stale_events;
     Alcotest.test_case "occupancy grows with warps" `Quick
       test_occupancy_higher_with_more_warps;
     Alcotest.test_case "pool overflow" `Quick test_pool_overflow_penalty;

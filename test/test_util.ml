@@ -77,7 +77,7 @@ let test_heap_sorted_output () =
   let h = Heap.create () in
   let r = Rng.create 5 in
   let items = List.init 500 (fun i -> (Rng.float r, i)) in
-  List.iter (fun (p, v) -> Heap.push h p v) items;
+  List.iter (fun (p, v) -> ignore (Heap.push h p v : int Heap.handle)) items;
   let last = ref neg_infinity in
   let n = ref 0 in
   let continue = ref true in
@@ -93,15 +93,109 @@ let test_heap_sorted_output () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  Heap.push h 1.0 "a";
-  Heap.push h 1.0 "b";
-  Heap.push h 1.0 "c";
+  List.iter (fun v -> ignore (Heap.push h 1.0 v : string Heap.handle))
+    [ "a"; "b"; "c" ];
   let pop () = match Heap.pop_min h with Some (_, v) -> v | None -> "?" in
   let first = pop () in
   let second = pop () in
   let third = pop () in
   Alcotest.(check (list string)) "insertion order on ties" [ "a"; "b"; "c" ]
     [ first; second; third ]
+
+(* Handle operations against a lazy-deletion model: [update] there is a
+   fresh push that kills the old entry, [remove] only kills, and [pop]
+   discards dead entries before answering.  Priorities come from a small
+   range so ties (and the seq tie-break) are frequent. *)
+type heap_op = Push of int | Update of int * int | Remove of int | Pop
+
+let heap_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun p -> Push p) (int_range 0 9));
+        (3, map2 (fun k p -> Update (k, p)) nat (int_range 0 9));
+        (1, map (fun k -> Remove k) nat);
+        (3, return Pop);
+      ])
+
+let show_heap_op = function
+  | Push p -> Printf.sprintf "push %d" p
+  | Update (k, p) -> Printf.sprintf "update #%d %d" k p
+  | Remove k -> Printf.sprintf "remove #%d" k
+  | Pop -> "pop"
+
+let prop_heap_matches_lazy_model =
+  QCheck.Test.make ~count:300 ~name:"heap handles match a lazy-deletion model"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_heap_op ops))
+        Gen.(list_size (int_range 0 200) heap_op_gen))
+    (fun ops ->
+      let h = Heap.create () in
+      (* model: (prio, seq, id) entries; an entry is live while its seq is
+         the id's current one *)
+      let model = ref [] and seq = ref 0 in
+      let current = Hashtbl.create 16 in
+      let handles = Hashtbl.create 16 in
+      let next_id = ref 0 in
+      let model_push prio id =
+        model := (prio, !seq, id) :: !model;
+        Hashtbl.replace current id !seq;
+        incr seq
+      in
+      let nth_live k f =
+        match
+          List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) handles [])
+        with
+        | [] -> ()
+        | ids -> f (List.nth ids (k mod List.length ids))
+      in
+      let rec model_pop () =
+        match List.sort compare !model with
+        | [] -> None
+        | ((prio, s, id) as e) :: _ ->
+          model := List.filter (fun x -> x <> e) !model;
+          if Hashtbl.find_opt current id = Some s then begin
+            Hashtbl.remove current id;
+            Some (prio, id)
+          end
+          else model_pop ()
+      in
+      List.for_all
+        (function
+          | Push p ->
+            let id = !next_id in
+            incr next_id;
+            Hashtbl.replace handles id (Heap.push h (Float.of_int p) id);
+            model_push (Float.of_int p) id;
+            true
+          | Update (k, p) ->
+            nth_live k (fun id ->
+                Heap.update h (Hashtbl.find handles id) (Float.of_int p);
+                model_push (Float.of_int p) id);
+            true
+          | Remove k ->
+            nth_live k (fun id ->
+                Heap.remove h (Hashtbl.find handles id);
+                Hashtbl.remove handles id;
+                Hashtbl.remove current id);
+            true
+          | Pop ->
+            let got = Heap.pop_min h in
+            Option.iter (fun (_, id) -> Hashtbl.remove handles id) got;
+            got = model_pop ()
+            && Heap.length h = Hashtbl.length handles)
+        ops
+      && Heap.length h = Hashtbl.length current)
+
+let test_heap_update_popped () =
+  let h = Heap.create () in
+  let a = Heap.push h 1.0 "a" in
+  ignore (Heap.pop_min h);
+  Heap.remove h a;
+  Alcotest.check_raises "update after pop"
+    (Invalid_argument "Heap.update: handle not in the heap") (fun () ->
+      Heap.update h a 2.0)
 
 let test_stats_mean_geomean () =
   Alcotest.(check (float 1e-9)) "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
@@ -239,6 +333,8 @@ let suite =
     Alcotest.test_case "vec iter order" `Quick test_vec_iter_order;
     Alcotest.test_case "heap sorted" `Quick test_heap_sorted_output;
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
+    QCheck_alcotest.to_alcotest prop_heap_matches_lazy_model;
+    Alcotest.test_case "heap update after pop" `Quick test_heap_update_popped;
     Alcotest.test_case "stats mean/geomean" `Quick test_stats_mean_geomean;
     Alcotest.test_case "stats stddev" `Quick test_stats_stddev;
     Alcotest.test_case "histogram boundaries" `Quick
